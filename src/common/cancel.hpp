@@ -17,7 +17,8 @@
 // is read on call 1 and then every stride-th call. Engines keep their
 // historical polling rates — branch-and-bound calls should_stop() once
 // per node with the default stride 16 (the pre-existing "every 16 nodes"
-// amortization), the SAT solver once per conflict with stride 256, and
+// amortization), the SAT solver every 4096 loaded clauses, once per
+// conflict and once per decision with stride 256, and
 // the input-splitting verifier calls check_now() once per synchronous
 // round (a round already amortizes over up to chunk_size boxes).
 //

@@ -1,12 +1,22 @@
-// Two-phase primal simplex for LPs with bounded variables.
+// Two-phase primal simplex for LPs with bounded variables, plus a warm
+// re-solve from an earlier optimal state.
 //
 // Dense tableau implementation sized for the LP relaxations produced by
 // the MILP encoding of ReLU networks (hundreds to a few thousand
 // columns). Bounded-variable pivoting with bound flips, Dantzig pricing
 // with a Bland's-rule anti-cycling fallback, and Phase-1 artificial
 // variables for a feasible start.
+//
+// resolve() restarts from the optimal tableau of an earlier solve of a
+// problem with the same rows and columns, as branch-and-bound does for
+// every child node (only bounds change) and bound tightening does from
+// one LP of a layer to the next (only the objective changes). Changed
+// bounds are repaired by a bounded dual simplex, a changed objective by
+// primal Phase 2; both keep the earlier basis.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -27,6 +37,9 @@ struct Solution {
   /// Values of the structural variables (empty unless kOptimal).
   std::vector<double> values;
   long iterations = 0;
+  /// True when resolve() reached this answer from its earlier state;
+  /// false for a cold solve, including a re-solve's fallback.
+  bool warm = false;
 };
 
 struct SimplexOptions {
@@ -40,12 +53,54 @@ struct SimplexOptions {
   long refresh_interval = 128;
 };
 
-/// Solves an LP. Stateless; safe to reuse across problems.
+struct Tableau;  // defined in simplex.cpp
+
+/// The optimal tableau and basis a solve ended on, kept for resolve().
+/// Move-only; the dense tableau dominates its size (see bytes()).
+class SimplexState {
+ public:
+  SimplexState();
+  ~SimplexState();
+  SimplexState(SimplexState&&) noexcept;
+  SimplexState& operator=(SimplexState&&) noexcept;
+
+  bool empty() const { return tableau_ == nullptr; }
+  /// Heap bytes held: about 8 * rows * (columns + rows) for a full state,
+  /// about 8 * (columns + 2 * rows) for a compact one.
+  std::size_t bytes() const;
+
+  /// A copy that keeps only the basis and the nonbasic values. resolve()
+  /// from it first refactors the basis from the problem's rows (about one
+  /// pivot per basic structural column): slower than from the full
+  /// tableau, far cheaper than a cold solve, for a fraction of the memory.
+  SimplexState compact() const;
+
+ private:
+  friend class SimplexSolver;
+  std::unique_ptr<Tableau> tableau_;
+};
+
+/// Solves LPs. Holds only options; safe to reuse across problems.
 class SimplexSolver {
  public:
   explicit SimplexSolver(SimplexOptions options = {});
 
-  Solution solve(const Problem& problem) const;
+  /// Cold two-phase solve. When the result is kOptimal and `final_state`
+  /// is non-null, it receives the optimal tableau for a later resolve().
+  Solution solve(const Problem& problem,
+                 SimplexState* final_state = nullptr) const;
+
+  /// Re-solves `problem` from `from`, the optimal state (full or
+  /// compact) of an earlier solve of a problem with the same rows and the
+  /// same number of columns; variable bounds and objective coefficients
+  /// may differ. Falls back to solve() when the warm path runs into
+  /// trouble: more pivots than a cold solve should need (4 * (rows +
+  /// columns), or max_iterations if smaller), a start that is neither
+  /// primal nor dual feasible, a compact basis that does not refactor, or
+  /// an answer whose row residual fails the check. Solution::warm tells
+  /// which path answered. `final_state` may alias `from`.
+  Solution resolve(const Problem& problem, const SimplexState& from,
+                   SimplexState* final_state = nullptr) const;
 
  private:
   SimplexOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <queue>
 
 #include "common/cancel.hpp"
@@ -13,6 +14,34 @@
 namespace safenn::milp {
 namespace {
 
+/// Bytes of parent LP state that open nodes may hold at once. A node's
+/// optimal tableau is shared by its two children, which re-solve from it
+/// with the dual simplex. Best-first search on a hard query keeps
+/// thousands of nodes open, so full tableaus may fill only three quarters
+/// of the budget; past that, children share the compact state (basis and
+/// nonbasic values, a few KB), whose re-solve first refactors the basis.
+/// Only when even that does not fit do they solve cold.
+constexpr std::size_t kWarmStateBytes = std::size_t{64} << 20;
+constexpr std::size_t kFullStateBytes = kWarmStateBytes / 4 * 3;
+
+/// One node's optimal LP state, shared by its two children. It counts
+/// itself against the solve's warm-state budget while alive.
+class SharedState {
+ public:
+  SharedState(lp::SimplexState s, std::size_t& held)
+      : state(std::move(s)), held_(held) {
+    held_ += state.bytes();
+  }
+  ~SharedState() { held_ -= state.bytes(); }
+  SharedState(const SharedState&) = delete;
+  SharedState& operator=(const SharedState&) = delete;
+
+  const lp::SimplexState state;
+
+ private:
+  std::size_t& held_;
+};
+
 /// A search node: bound overrides accumulated along its branch path plus
 /// the parent's LP bound (an optimistic estimate until its own LP runs).
 struct Node {
@@ -21,6 +50,8 @@ struct Node {
   double estimate = 0.0;  // parent LP objective (problem sense)
   int depth = 0;
   long id = 0;
+  /// The parent's optimal LP state (null: solve cold).
+  std::shared_ptr<const SharedState> warm;
 };
 
 /// Applies node bound overrides to a copy of the base problem.
@@ -53,6 +84,9 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   auto better = [sign](double a, double b) { return sign * (a - b) > 0.0; };
 
   lp::SimplexSolver lp_solver(options_.lp_options);
+  // Bytes held by open nodes' warm states; declared before `open` so it
+  // outlives every SharedState.
+  std::size_t warm_bytes = 0;
   Stopwatch clock;
   // Deadline + portfolio-cancel poll, amortized at the documented
   // default stride (one clock read per 16 nodes — the historical rate).
@@ -85,11 +119,13 @@ MilpResult BranchAndBound::solve(const Model& model) const {
   long next_id = 0;
   const double root_estimate =
       maximize ? lp::kInfinity : -lp::kInfinity;
-  open.push(Node{{}, {}, root_estimate, 0, next_id++});
+  open.push(Node{{}, {}, root_estimate, 0, next_id++, nullptr});
 
   // Fix-and-round primal heuristic: fix every integral variable to the
-  // rounded LP value and re-solve the continuous rest.
-  auto try_heuristic = [&](const std::vector<double>& relaxation) {
+  // rounded LP value and re-solve the continuous rest, warm from the
+  // node's own optimal state.
+  auto try_heuristic = [&](const std::vector<double>& relaxation,
+                           const lp::SimplexState& node_state) {
     lp::Problem fixed = base;
     for (int idx : model.integral_variables()) {
       const double v =
@@ -100,7 +136,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
       fixed.variable(idx).lower = clamped;
       fixed.variable(idx).upper = clamped;
     }
-    const lp::Solution s = lp_solver.solve(fixed);
+    const lp::Solution s = lp_solver.resolve(fixed, node_state);
     result.lp_iterations += s.iterations;
     if (s.status != lp::SolveStatus::kOptimal) return;
     if (base.max_violation(s.values) > 1e-6) return;
@@ -183,8 +219,13 @@ MilpResult BranchAndBound::solve(const Model& model) const {
 
     ++result.nodes_explored;
     const lp::Problem node_problem = build_node_problem(base, node);
-    const lp::Solution relax = lp_solver.solve(node_problem);
+    lp::SimplexState state;
+    const lp::Solution relax =
+        node.warm ? lp_solver.resolve(node_problem, node.warm->state, &state)
+                  : lp_solver.solve(node_problem, &state);
+    node.warm.reset();  // the sibling may still hold it; this node is done
     result.lp_iterations += relax.iterations;
+    ++(relax.warm ? result.warm_solves : result.cold_solves);
     if (log_level() <= LogLevel::kDebug) {
       std::string fixes;
       for (const auto& [v, lo] : node.lower_overrides)
@@ -240,7 +281,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
     if (options_.heuristic_interval > 0 &&
         (result.nodes_explored == 1 ||
          result.nodes_explored % options_.heuristic_interval == 0)) {
-      try_heuristic(relax.values);
+      try_heuristic(relax.values, state);
     }
 
     // Branch on the highest-priority fractional variable (fractionality
@@ -272,6 +313,11 @@ MilpResult BranchAndBound::solve(const Model& model) const {
             "variable (tolerance mismatch)");
 
     const double v = relax.values[static_cast<std::size_t>(branch_var)];
+    if (warm_bytes + state.bytes() > kFullStateBytes) state = state.compact();
+    if (warm_bytes + state.bytes() <= kWarmStateBytes) {
+      node.warm = std::make_shared<const SharedState>(std::move(state),
+                                                      warm_bytes);
+    }
     Node down = node;
     down.upper_overrides.emplace_back(branch_var, std::floor(v));
     down.estimate = relax.objective;

@@ -4,6 +4,13 @@
 // branching, a fix-and-round primal heuristic, and wall-clock time limits
 // (Table II's 4x60 row times out in the paper too — time-limit handling
 // is part of the reproduced behaviour, not an afterthought).
+//
+// Every child node re-solves its LP from its parent's optimal tableau
+// (lp::SimplexSolver::resolve: one bound changed, so a few dual simplex
+// pivots), and the heuristic from its node's tableau. Past a fixed memory
+// budget for the tableaus open nodes hold, children get the parent's
+// compact state (its basis) instead. Only the root, and re-solves that
+// fall back, solve cold.
 #pragma once
 
 #include <atomic>
@@ -31,6 +38,12 @@ struct MilpResult {
   std::vector<double> values;
   long nodes_explored = 0;
   long lp_iterations = 0;
+  /// Node LPs re-solved from the parent's optimal state (dual simplex).
+  long warm_solves = 0;
+  /// Node LPs solved from scratch: the root and re-solves that fell back
+  /// (plus children of a search so large that even compact parent states
+  /// overflow the warm-state budget).
+  long cold_solves = 0;
   double seconds = 0.0;
   /// True when the solve stopped because BnbOptions::cancel was set (the
   /// status is then one of the time-limit statuses). objective and

@@ -248,9 +248,21 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
   e.seen.assign(static_cast<std::size_t>(e.nvars), 0);
   e.watches.assign(static_cast<std::size_t>(2 * e.nvars), {});
 
+  // Deadline + portfolio-cancel: the flag at every poll, the clock every
+  // 256th (the documented SAT stride — conflicts and decisions are much
+  // cheaper than BnB nodes). Polls come every 4096 loaded clauses, every
+  // conflict and every decision: polling only on conflicts let a long
+  // load or a conflict-free descent ignore a peer that had already
+  // decided.
+  CancelToken stop(options_.time_limit_seconds, options_.cancel, 256);
+
   // Load clauses: dedupe literals, drop tautologies, split units.
   std::vector<ILit> units;
+  std::size_t loaded = 0;
   for (const auto& clause : cnf.clauses()) {
+    if ((++loaded & 4095) == 0 && stop.should_stop()) {
+      return SatResult::kUnknown;
+    }
     std::vector<ILit> c;
     c.reserve(clause.size());
     for (Lit l : clause) {
@@ -289,10 +301,6 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
   }
   if (e.propagate() != kUndef) return SatResult::kUnsat;
 
-  // Deadline + portfolio-cancel: the flag every conflict, the clock every
-  // 256th (the documented SAT stride — conflicts are much cheaper than
-  // BnB nodes).
-  CancelToken stop(options_.time_limit_seconds, options_.cancel, 256);
   std::int64_t restart_idx = 1;
   std::int64_t conflicts_until_restart = 100 * luby(restart_idx);
 
@@ -331,6 +339,9 @@ SatResult Solver::solve(const Cnf& cnf, const std::vector<Lit>& assumptions) {
     }
 
     // No conflict: decide.
+    if (stop.should_stop()) {
+      return SatResult::kUnknown;
+    }
     const int v = e.pick_branch_var();
     if (v == kUndef) {
       // Full assignment: SAT. Extract the model.

@@ -22,9 +22,10 @@ struct SolverOptions {
   /// Wall-clock limit in seconds (0: unlimited).
   double time_limit_seconds = 0.0;
   double var_decay = 0.95;
-  /// Cooperative cancellation (portfolio): polled with the deadline once
-  /// per conflict at CancelToken stride 256; a fired flag returns
-  /// kUnknown exactly like a timeout.
+  /// Cooperative cancellation (portfolio): polled with the deadline every
+  /// 4096 loaded clauses, once per conflict and once per decision at
+  /// CancelToken stride 256; a fired flag returns kUnknown exactly like a
+  /// timeout.
   const std::atomic<bool>* cancel = nullptr;
 };
 

@@ -1,7 +1,9 @@
 #include "smt/qnn_encoder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -20,10 +22,15 @@ struct Circuit {
 
 /// Circuit over explicit fixed-point input ranges (in_lo[i] <= x[i] <=
 /// in_hi[i], frac_bits format). Equal bounds pin the input exactly —
-/// the replay path — without a double round trip.
-Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
-                            const std::vector<std::int64_t>& in_lo,
-                            const std::vector<std::int64_t>& in_hi) {
+/// the replay path — without a double round trip. `cancel` is polled
+/// before every neuron; once set, the build stops and returns nothing.
+std::optional<Circuit> build_circuit_fixed(
+    const nn::QuantizedNetwork& qnet, const std::vector<std::int64_t>& in_lo,
+    const std::vector<std::int64_t>& in_hi,
+    const std::atomic<bool>* cancel = nullptr) {
+  auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_acquire);
+  };
   require(in_lo.size() == qnet.input_size() &&
               in_hi.size() == qnet.input_size(),
           "build_circuit: input bound dimension mismatch");
@@ -43,6 +50,7 @@ Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
   const std::size_t width = bits_for_magnitude(worst) + 1;
   require(width <= 62, "build_circuit: accumulators exceed 62 bits");
 
+  if (cancelled()) return std::nullopt;
   auto circuit = Circuit{};
   GateBuilder gates(circuit.cnf);
   BitVecBuilder bv(gates);
@@ -65,6 +73,7 @@ Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
     std::vector<BitVec> next;
     next.reserve(layer.out_size());
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
+      if (cancelled()) return std::nullopt;
       BitVec acc = bv.constant(0, width);
       bool first = true;
       for (std::size_t c = 0; c < layer.in_size(); ++c) {
@@ -93,8 +102,9 @@ Circuit build_circuit_fixed(const nn::QuantizedNetwork& qnet,
   return circuit;
 }
 
-Circuit build_circuit(const nn::QuantizedNetwork& qnet,
-                      const verify::Box& input_box) {
+std::optional<Circuit> build_circuit(const nn::QuantizedNetwork& qnet,
+                                     const verify::Box& input_box,
+                                     const std::atomic<bool>* cancel) {
   require(input_box.size() == qnet.input_size(),
           "build_circuit: box dimension mismatch");
   // Fixed-point input ranges (round inward so the box is honored).
@@ -104,7 +114,7 @@ Circuit build_circuit(const nn::QuantizedNetwork& qnet,
     in_lo[i] = static_cast<std::int64_t>(std::ceil(input_box[i].lo * scale));
     in_hi[i] = static_cast<std::int64_t>(std::floor(input_box[i].hi * scale));
   }
-  return build_circuit_fixed(qnet, in_lo, in_hi);
+  return build_circuit_fixed(qnet, in_lo, in_hi, cancel);
 }
 
 }  // namespace
@@ -117,7 +127,16 @@ QnnVerdict prove_quantized_output_bound(const nn::QuantizedNetwork& qnet,
   require(output_index < qnet.output_size(),
           "prove_quantized_output_bound: output index out of range");
   Stopwatch clock;
-  Circuit circuit = build_circuit(qnet, input_box);
+  QnnVerdict verdict;
+  // A racing peer may decide while the circuit is being built; the build
+  // then stops without a CNF and the query is kUnknown, like a timeout.
+  std::optional<Circuit> built =
+      build_circuit(qnet, input_box, options.solver.cancel);
+  if (!built) {
+    verdict.seconds = clock.seconds();
+    return verdict;
+  }
+  Circuit& circuit = *built;
 
   // Negated property: output > threshold, i.e. output >= floor(t*2^F)+1.
   GateBuilder gates(circuit.cnf);
@@ -131,7 +150,6 @@ QnnVerdict prove_quantized_output_bound(const nn::QuantizedNetwork& qnet,
   gates.assert_true(
       bv.less_than(bv.constant(t_fixed, w), bv.sign_extend(out, w)));
 
-  QnnVerdict verdict;
   verdict.cnf_variables = circuit.cnf.num_vars();
   verdict.cnf_clauses = circuit.cnf.num_clauses();
 
@@ -199,7 +217,7 @@ std::vector<std::int64_t> eval_quantized_through_cnf(
     const QnnVerifierOptions& options) {
   require(input_fixed.size() == qnet.input_size(),
           "eval_quantized_through_cnf: input dimension mismatch");
-  Circuit circuit = build_circuit_fixed(qnet, input_fixed, input_fixed);
+  Circuit circuit = *build_circuit_fixed(qnet, input_fixed, input_fixed);
   sat::Solver solver(options.solver);
   const sat::SatResult res = solver.solve(circuit.cnf);
   // Every input is pinned to a single value, so the circuit has exactly

@@ -37,7 +37,9 @@ struct QnnVerifierOptions {
 
 /// Verifies "forall x in box: quantized_net(x)[output_index] <= threshold".
 /// Returns UNSAT (=> property proved for the quantized network), SAT with
-/// counterexample, or Unknown on budget exhaustion.
+/// counterexample, or Unknown on budget exhaustion or cancellation
+/// (options.solver.cancel is also polled per neuron while the circuit is
+/// built; a cancelled build reports no CNF: zero variables and clauses).
 QnnVerdict prove_quantized_output_bound(
     const nn::QuantizedNetwork& qnet, const verify::Box& input_box,
     std::size_t output_index, double threshold,

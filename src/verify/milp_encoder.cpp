@@ -12,7 +12,8 @@ namespace safenn::verify {
 
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
-    const std::vector<LayerBounds>* symbolic_seed) {
+    const std::vector<LayerBounds>* symbolic_seed,
+    const std::atomic<bool>* cancel) {
   require(region.dims() == net.input_size(),
           "lp_tightened_bounds: region dimension mismatch");
   // Symbolic bounds seed the relaxation and cap the LP answers (the LP
@@ -20,6 +21,10 @@ std::vector<LayerBounds> lp_tightened_bounds(
   // also lets stable neurons skip their min/max LP pair below.
   const std::vector<LayerBounds> seed =
       symbolic_seed ? *symbolic_seed : symbolic_bounds(net, region.box);
+  auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_acquire);
+  };
+  if (cancelled()) return seed;
 
   lp::Problem relaxation;
   std::vector<int> prev_vars;
@@ -42,31 +47,54 @@ std::vector<LayerBounds> lp_tightened_bounds(
 
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
     const nn::DenseLayer& layer = net.layer(li);
-    LayerBounds lb;
-    lb.pre.resize(layer.out_size());
-    lb.post.resize(layer.out_size());
-    std::vector<int> layer_vars(layer.out_size(), -1);
-
+    LayerBounds lb = seed[li];
+    std::vector<lp::LinearTerms> z_terms(layer.out_size());
     for (std::size_t r = 0; r < layer.out_size(); ++r) {
-      // Tighten pre-activation bounds by LP, seeded by the interval.
-      Interval pre = seed[li].pre[r];
-      lp::LinearTerms z_terms;
       for (std::size_t c = 0; c < layer.in_size(); ++c) {
         const double w = layer.weights()(r, c);
-        if (w != 0.0) z_terms.emplace_back(prev_vars[c], w);
+        if (w != 0.0) z_terms[r].emplace_back(prev_vars[c], w);
+      }
+    }
+
+    // Tighten every neuron's pre-activation bound by LP over the
+    // relaxation of the earlier layers. All LPs of a layer share that
+    // feasible set and differ only in the objective, so each one after
+    // the first re-solves (primal Phase 2) from the previous optimum.
+    lp::Problem p = relaxation;
+    lp::SimplexState state;
+    const lp::LinearTerms* objective = nullptr;
+    bool stopped = false;
+    for (std::size_t r = 0; r < layer.out_size(); ++r) {
+      // Only unstable ReLU neurons get LPs; the rest keep the seed's pre
+      // and post. One the symbolic seed already proves stable encodes
+      // without a binary no matter how much tighter the LP bound gets
+      // (the big win of the symbolic seed: on typical boxes most neurons
+      // are stable). An identity neuron's bound only ever bounds y = z,
+      // which the relaxation (and the MILP's own LP relaxation) already
+      // implies, so its LP pair would add nothing.
+      Interval pre = seed[li].pre[r];
+      if (layer.activation() != nn::Activation::kRelu ||
+          classify(pre) != NeuronStability::kUnstable) {
+        continue;
       }
       const double b = layer.biases()[r];
-      // A ReLU neuron the symbolic seed already proves stable encodes
-      // without a binary no matter how much tighter the LP bound gets —
-      // skip both LPs (the big win of the symbolic seed: on typical
-      // boxes most neurons are stable).
-      const bool skip_lps = layer.activation() == nn::Activation::kRelu &&
-                            classify(pre) != NeuronStability::kUnstable;
-      for (int sense = 0; !skip_lps && sense < 2; ++sense) {
-        lp::Problem p = relaxation;
-        for (const auto& [var, coef] : z_terms) p.set_objective(var, coef);
+      for (int sense = 0; sense < 2; ++sense) {
+        // A peer that already decided the query cancels the rest: the
+        // neurons not yet bounded keep their (sound) symbolic seed.
+        if (cancelled()) {
+          stopped = true;
+          break;
+        }
+        if (objective != &z_terms[r]) {
+          if (objective != nullptr) {
+            for (const auto& [var, coef] : *objective) p.set_objective(var, 0.0);
+          }
+          for (const auto& [var, coef] : z_terms[r]) p.set_objective(var, coef);
+          objective = &z_terms[r];
+        }
         p.set_maximize(sense == 1);
-        const lp::Solution s = solver.solve(p);
+        const lp::Solution s = state.empty() ? solver.solve(p, &state)
+                                             : solver.resolve(p, state, &state);
         if (s.status != lp::SolveStatus::kOptimal) continue;
         if (sense == 1) {
           pre.hi = std::min(pre.hi, s.objective + b + 1e-9);
@@ -74,43 +102,44 @@ std::vector<LayerBounds> lp_tightened_bounds(
           pre.lo = std::max(pre.lo, s.objective + b - 1e-9);
         }
       }
+      if (stopped) break;
       if (pre.lo > pre.hi) pre.lo = pre.hi;  // numerical guard
       lb.pre[r] = pre;
+      lb.post[r] = pre.lo >= 0.0 ? pre : Interval{0.0, std::max(0.0, pre.hi)};
+    }
+    out.push_back(lb);
+    if (stopped) {
+      out.insert(out.end(), seed.begin() + static_cast<std::ptrdiff_t>(li) + 1,
+                 seed.end());
+      return out;
+    }
 
-      // Extend the relaxation with this neuron for subsequent layers.
-      if (layer.activation() == nn::Activation::kIdentity) {
-        lb.post[r] = pre;
-        const int y = relaxation.add_variable(pre.lo, pre.hi);
-        lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
-        relaxation.add_constraint(std::move(eq), lp::Relation::kEq, b);
-        layer_vars[r] = y;
+    // Extend the relaxation with this layer for the layers after it.
+    std::vector<int> layer_vars(layer.out_size(), -1);
+    for (std::size_t r = 0; r < layer.out_size(); ++r) {
+      const Interval pre = lb.pre[r];
+      const double b = layer.biases()[r];
+      if (layer.activation() == nn::Activation::kRelu && pre.hi <= 0.0) {
+        layer_vars[r] = relaxation.add_variable(0.0, 0.0);  // stable inactive
         continue;
       }
-      // ReLU neuron.
-      if (pre.hi <= 0.0) {  // stable inactive
-        lb.post[r] = Interval{0.0, 0.0};
-        layer_vars[r] = relaxation.add_variable(0.0, 0.0);
-        continue;
-      }
-      if (pre.lo >= 0.0) {  // stable active: y = z
-        lb.post[r] = pre;
+      if (layer.activation() == nn::Activation::kIdentity || pre.lo >= 0.0) {
+        // Identity or stable active: y = z.
         const int y = relaxation.add_variable(pre.lo, pre.hi);
         lp::LinearTerms eq{{y, 1.0}};
-        for (const auto& [var, coef] : z_terms) eq.emplace_back(var, -coef);
+        for (const auto& [var, coef] : z_terms[r]) eq.emplace_back(var, -coef);
         relaxation.add_constraint(std::move(eq), lp::Relation::kEq, b);
         layer_vars[r] = y;
         continue;
       }
       // Unstable: triangle relaxation y >= z, y >= 0, y <= hi(z-lo)/(hi-lo).
-      lb.post[r] = Interval{0.0, pre.hi};
       const int y = relaxation.add_variable(0.0, pre.hi);
       lp::LinearTerms ge{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) ge.emplace_back(var, -coef);
+      for (const auto& [var, coef] : z_terms[r]) ge.emplace_back(var, -coef);
       relaxation.add_constraint(std::move(ge), lp::Relation::kGe, b);
       const double slope = pre.hi / (pre.hi - pre.lo);
       lp::LinearTerms le{{y, 1.0}};
-      for (const auto& [var, coef] : z_terms) {
+      for (const auto& [var, coef] : z_terms[r]) {
         le.emplace_back(var, -slope * coef);
       }
       relaxation.add_constraint(std::move(le), lp::Relation::kLe,
@@ -118,7 +147,6 @@ std::vector<LayerBounds> lp_tightened_bounds(
       layer_vars[r] = y;
     }
     prev_vars = layer_vars;
-    out.push_back(std::move(lb));
   }
   return out;
 }
@@ -179,7 +207,8 @@ EncodedNetwork encode_network(const nn::Network& net,
                    : symbolic_bounds(net, region.box);
       break;
     case BoundTightening::kLpTighten:
-      bounds = lp_tightened_bounds(net, region, options.precomputed_symbolic);
+      bounds = lp_tightened_bounds(net, region, options.precomputed_symbolic,
+                                   options.cancel);
       break;
     case BoundTightening::kLooseBigM: {
       const double m = options.loose_big_m;

@@ -17,6 +17,7 @@
 // layer contributes one equality per output.
 #pragma once
 
+#include <atomic>
 #include <vector>
 
 #include "milp/model.hpp"
@@ -40,8 +41,8 @@ enum class BoundTightening {
   kSymbolic,
   /// Per-neuron min/max LPs over the triangle relaxation of all earlier
   /// layers (slower to build, much tighter; the default). Seeded by
-  /// kSymbolic bounds: neurons the seed already proves stable skip their
-  /// LP pair entirely.
+  /// kSymbolic bounds: neurons the seed already proves stable, and
+  /// identity neurons, skip their LP pair entirely.
   kLpTighten,
 };
 
@@ -53,17 +54,24 @@ struct EncoderOptions {
   /// result and as the kLpTighten seed instead of re-deriving them. Must
   /// outlive the encode_network call; null re-derives locally.
   const std::vector<LayerBounds>* precomputed_symbolic = nullptr;
+  /// Cooperative cancellation for kLpTighten (a racing portfolio peer
+  /// decided): polled before every LP; see lp_tightened_bounds.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Per-neuron bounds via layer-by-layer LP tightening: each neuron's
-/// pre-activation is minimized/maximized over an LP containing the input
-/// region and the triangle relaxation of all previously-bounded layers.
-/// Always at least as tight as propagate_bounds. `symbolic_seed`, when
-/// non-null, must be symbolic_bounds(net, region.box) (the caller hoisted
-/// it); null derives the seed here.
+/// Per-neuron bounds via layer-by-layer LP tightening: each unstable ReLU
+/// neuron's pre-activation is minimized/maximized over an LP containing
+/// the input region and the triangle relaxation of all earlier layers;
+/// stable and identity neurons keep their symbolic seed bound. Always at
+/// least as tight as propagate_bounds. `symbolic_seed`, when non-null,
+/// must be symbolic_bounds(net, region.box) (the caller hoisted it); null
+/// derives the seed here. `cancel` is polled before every LP: once set,
+/// every neuron not yet bounded keeps its symbolic seed bound (sound,
+/// just looser), so a flag set before the call returns the seed itself.
 std::vector<LayerBounds> lp_tightened_bounds(
     const nn::Network& net, const InputRegion& region,
-    const std::vector<LayerBounds>* symbolic_seed = nullptr);
+    const std::vector<LayerBounds>* symbolic_seed = nullptr,
+    const std::atomic<bool>* cancel = nullptr);
 
 /// The encoded model plus the variable maps needed to read answers back.
 struct EncodedNetwork {

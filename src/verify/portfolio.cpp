@@ -416,6 +416,7 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
     Stopwatch engine_clock;
     EncoderOptions eo = options_.encoder;
     eo.precomputed_symbolic = &root_sb.layers;
+    eo.cancel = shared.cancel_flag(priority(o.engine));
     EncodedNetwork enc = encode_network(net, region, eo);
     for (const auto& [idx, coef] : expr.terms) {
       enc.model.set_objective(enc.output_vars[static_cast<std::size_t>(idx)],
@@ -468,7 +469,10 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
       }
     }
     o.detail = "nodes=" + std::to_string(r.nodes_explored) +
-               " binaries=" + std::to_string(enc.num_binaries);
+               " binaries=" + std::to_string(enc.num_binaries) +
+               " lp_iters=" + std::to_string(r.lp_iterations) +
+               " warm=" + std::to_string(r.warm_solves) +
+               " cold=" + std::to_string(r.cold_solves);
     o.seconds = engine_clock.seconds();
     shared.publish_bound(o.engine, o.upper_bound);
     if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "lp/problem.hpp"
@@ -224,24 +227,21 @@ TEST(Simplex, ReportsIterationCount) {
   EXPECT_GT(s.iterations, 0);
 }
 
-// Property test: random feasible-by-construction LPs. A random point x0 in
-// a box is picked, rows are generated to be satisfied by x0, so the LP is
-// feasible; the solver must return kOptimal with a feasible point whose
-// objective is at least as good as x0's.
-class RandomFeasibleLp : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RandomFeasibleLp, OptimalBeatsWitnessPoint) {
-  Rng rng(GetParam());
+// A random feasible-by-construction LP: a random point `witness` in a box
+// is picked, rows are generated to be satisfied by it strictly, so the LP
+// is feasible.
+Problem random_feasible_lp(std::uint64_t seed, std::vector<double>* witness) {
+  Rng rng(seed);
   const int n = 2 + static_cast<int>(rng.uniform_index(6));
   const int m = 1 + static_cast<int>(rng.uniform_index(8));
   Problem p;
-  std::vector<double> witness(static_cast<std::size_t>(n));
+  witness->assign(static_cast<std::size_t>(n), 0.0);
   p.set_maximize(true);
   for (int j = 0; j < n; ++j) {
     const double lo = rng.uniform(-5, 0);
     const double hi = rng.uniform(0.5, 5);
     p.add_variable(lo, hi, rng.normal());
-    witness[static_cast<std::size_t>(j)] = rng.uniform(lo, hi);
+    (*witness)[static_cast<std::size_t>(j)] = rng.uniform(lo, hi);
   }
   for (int i = 0; i < m; ++i) {
     LinearTerms terms;
@@ -249,12 +249,23 @@ TEST_P(RandomFeasibleLp, OptimalBeatsWitnessPoint) {
     for (int j = 0; j < n; ++j) {
       const double coef = rng.normal();
       terms.emplace_back(j, coef);
-      lhs += coef * witness[static_cast<std::size_t>(j)];
+      lhs += coef * (*witness)[static_cast<std::size_t>(j)];
     }
     // Slack it so the witness satisfies the row strictly.
     p.add_constraint(std::move(terms), Relation::kLe,
                      lhs + rng.uniform(0.1, 2.0));
   }
+  return p;
+}
+
+// Property test: the solver must return kOptimal with a feasible point
+// whose objective is at least as good as the witness's.
+class RandomFeasibleLp : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomFeasibleLp, OptimalBeatsWitnessPoint) {
+  std::vector<double> witness;
+  const Problem p = random_feasible_lp(GetParam(), &witness);
+  const int n = p.num_variables();
   const Solution s = solve(p);
   ASSERT_EQ(s.status, SolveStatus::kOptimal) << "seed " << GetParam();
   EXPECT_LE(p.max_violation(s.values), 1e-6);
@@ -266,6 +277,193 @@ TEST_P(RandomFeasibleLp, OptimalBeatsWitnessPoint) {
     EXPECT_LE(s.values[static_cast<std::size_t>(j)],
               p.variable(j).upper + 1e-7);
   }
+}
+
+// Re-solve from a parent's optimal state must answer exactly what a cold
+// solve of the same child answers: same status, objective within 1e-9
+// relative.
+void expect_same_answer(const Solution& warm, const Solution& cold,
+                        const std::string& what) {
+  ASSERT_EQ(warm.status, cold.status) << what;
+  if (cold.status != SolveStatus::kOptimal) return;
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-9 * std::max(1.0, std::abs(cold.objective)))
+      << what;
+}
+
+TEST_P(RandomFeasibleLp, ResolveAfterBoundTighteningMatchesColdSolve) {
+  std::vector<double> witness;
+  const Problem parent = random_feasible_lp(GetParam(), &witness);
+  SimplexState state;
+  const Solution root = SimplexSolver().solve(parent, &state);
+  ASSERT_EQ(root.status, SolveStatus::kOptimal);
+  ASSERT_FALSE(state.empty());
+  Rng rng(GetParam() + 7000);
+  for (int j = 0; j < parent.num_variables(); ++j) {
+    const double v = root.values[static_cast<std::size_t>(j)];
+    const Variable& var = parent.variable(j);
+    const bool at_bound =
+        std::abs(v - var.lower) < 1e-9 || std::abs(v - var.upper) < 1e-9;
+    Problem child = parent;
+    if (at_bound) {
+      // Nonbasic: move the bound it sits on inward.
+      const double f = rng.uniform(0.1, 0.9);
+      if (std::abs(v - var.lower) < 1e-9) {
+        child.variable(j).lower = var.lower + f * (var.upper - var.lower);
+      } else {
+        child.variable(j).upper = var.upper - f * (var.upper - var.lower);
+      }
+    } else {
+      // Basic (strictly inside its box): cut its current value off.
+      if (rng.uniform() < 0.5) {
+        child.variable(j).upper = var.lower + rng.uniform(0.0, 1.0) * (v - var.lower);
+      } else {
+        child.variable(j).lower = v + rng.uniform(0.0, 1.0) * (var.upper - v);
+      }
+    }
+    const Solution warm = SimplexSolver().resolve(child, state);
+    const Solution cold = SimplexSolver().solve(child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()) +
+                                       " column " + std::to_string(j));
+    EXPECT_TRUE(warm.warm) << "one bound change needs no fallback";
+    if (warm.status == SolveStatus::kOptimal) {
+      EXPECT_LE(child.max_violation(warm.values), 1e-6);
+    }
+  }
+}
+
+TEST_P(RandomFeasibleLp, ResolveFromCompactStateMatchesColdSolve) {
+  // The compact copy keeps only the basis and nonbasic values; a re-solve
+  // from it refactors the basis from the rows and must answer exactly as
+  // a cold solve does, for bound and objective changes alike.
+  std::vector<double> witness;
+  const Problem parent = random_feasible_lp(GetParam(), &witness);
+  SimplexState full;
+  const Solution root = SimplexSolver().solve(parent, &full);
+  ASSERT_EQ(root.status, SolveStatus::kOptimal);
+  const SimplexState compact = full.compact();
+  ASSERT_FALSE(compact.empty());
+  EXPECT_LT(compact.bytes(), full.bytes());
+
+  const Solution same = SimplexSolver().resolve(parent, compact);
+  expect_same_answer(same, root, "unchanged, seed " + std::to_string(GetParam()));
+  EXPECT_TRUE(same.warm);
+
+  Rng rng(GetParam() + 8000);
+  for (int j = 0; j < parent.num_variables(); ++j) {
+    Problem child = parent;
+    const Variable& var = parent.variable(j);
+    const double v = root.values[static_cast<std::size_t>(j)];
+    if (rng.uniform() < 0.5) {
+      child.variable(j).upper = var.lower + rng.uniform(0.0, 1.0) * (v - var.lower);
+    } else {
+      child.variable(j).lower = v + rng.uniform(0.0, 1.0) * (var.upper - v);
+    }
+    if (j % 2 == 1) child.set_maximize(false);
+    SimplexState next;
+    const Solution warm = SimplexSolver().resolve(child, compact, &next);
+    const Solution cold = SimplexSolver().solve(child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()) +
+                                       " column " + std::to_string(j));
+    // The re-solve hands back a full state again.
+    EXPECT_EQ(next.empty(), warm.status != SolveStatus::kOptimal);
+  }
+}
+
+TEST_P(RandomFeasibleLp, ResolveOfInfeasibleChildMatchesColdSolve) {
+  std::vector<double> witness;
+  const Problem parent = random_feasible_lp(GetParam(), &witness);
+  SimplexState state;
+  ASSERT_EQ(SimplexSolver().solve(parent, &state).status, SolveStatus::kOptimal);
+  // Pin every column at the end of its box that pushes row 0 up: the
+  // child is infeasible exactly when that corner violates row 0.
+  Problem child = parent;
+  double corner = 0.0;
+  for (const auto& [j, coef] : parent.constraint(0).terms) {
+    const Variable& var = parent.variable(j);
+    const double x = coef > 0.0 ? var.upper : var.lower;
+    child.variable(j).lower = x;
+    child.variable(j).upper = x;
+    corner += coef * x;
+  }
+  const Solution warm = SimplexSolver().resolve(child, state);
+  const Solution cold = SimplexSolver().solve(child);
+  expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()));
+  if (corner > parent.constraint(0).rhs + 1e-3) {
+    EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
+    EXPECT_TRUE(warm.warm) << "the dual simplex proves infeasibility itself";
+  }
+}
+
+TEST_P(RandomFeasibleLp, ResolveAfterObjectiveChangeMatchesColdSolve) {
+  std::vector<double> witness;
+  const Problem parent = random_feasible_lp(GetParam(), &witness);
+  SimplexState state;
+  ASSERT_EQ(SimplexSolver().solve(parent, &state).status, SolveStatus::kOptimal);
+  // The other half of a min/max pair, then a fresh random objective.
+  Problem flipped = parent;
+  flipped.set_maximize(false);
+  Problem fresh = parent;
+  Rng rng(GetParam() + 9000);
+  for (int j = 0; j < fresh.num_variables(); ++j) fresh.set_objective(j, rng.normal());
+  for (const Problem* child : {&flipped, &fresh}) {
+    const Solution warm = SimplexSolver().resolve(*child, state);
+    const Solution cold = SimplexSolver().solve(*child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()));
+    EXPECT_TRUE(warm.warm) << "an objective change never needs the fallback";
+  }
+}
+
+TEST(ResolveFallback, LostDualFeasibilityMatchesColdSolve) {
+  // Halved bounds and a flipped objective at once: the old basis is
+  // usually neither primal nor dual feasible (a nonbasic slack wants its
+  // infinite bound), so the re-solve falls back to the cold solve. The
+  // answer must not change, and the fallback still hands back a state to
+  // continue from.
+  int fallbacks = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    std::vector<double> witness;
+    const Problem parent = random_feasible_lp(seed, &witness);
+    SimplexState state;
+    ASSERT_EQ(SimplexSolver().solve(parent, &state).status, SolveStatus::kOptimal);
+    Problem child = parent;
+    child.set_maximize(false);
+    for (int j = 0; j < child.num_variables(); ++j) {
+      const Variable& var = parent.variable(j);
+      child.variable(j).upper = var.lower + 0.5 * (var.upper - var.lower);
+    }
+    SimplexState child_state;
+    const Solution warm = SimplexSolver().resolve(child, state, &child_state);
+    const Solution cold = SimplexSolver().solve(child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(seed));
+    EXPECT_EQ(child_state.empty(), warm.status != SolveStatus::kOptimal);
+    if (!warm.warm) ++fallbacks;
+  }
+  EXPECT_GE(fallbacks, 5);
+}
+
+TEST(ResolveFallback, TinyIterationCapFallsBackToColdSolve) {
+  // Past its pivot cap the warm path gives up; the cold fallback runs
+  // under the same max_iterations and reports exactly what a cold solve
+  // with those options reports. A warm path that finishes inside the cap
+  // must match an uncapped cold solve instead.
+  SimplexOptions tiny;
+  tiny.max_iterations = 2;
+  const SimplexSolver solver(tiny);
+  int fallbacks = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    std::vector<double> witness;
+    const Problem parent = random_feasible_lp(seed, &witness);
+    SimplexState state;
+    ASSERT_EQ(SimplexSolver().solve(parent, &state).status, SolveStatus::kOptimal);
+    Problem child = parent;
+    child.set_maximize(false);
+    const Solution warm = solver.resolve(child, state);
+    const Solution cold = warm.warm ? SimplexSolver().solve(child) : solver.solve(child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(seed));
+    if (!warm.warm) ++fallbacks;
+  }
+  EXPECT_GE(fallbacks, 30);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFeasibleLp,

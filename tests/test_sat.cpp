@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,6 +53,24 @@ TEST(Solver, EmptyFormulaIsSat) {
   Cnf cnf;
   cnf.new_vars(3);
   EXPECT_EQ(Solver().solve(cnf), SatResult::kSat);
+}
+
+TEST(Solver, CancelFlagStopsSearchWithoutAnyConflict) {
+  // A formula the solver satisfies by decisions alone never reaches a
+  // conflict, so a conflict-only poll would return kSat; the per-decision
+  // poll sees the flag before the first decision.
+  Cnf cnf;
+  const Var first = cnf.new_vars(64);
+  for (Var v = first; v + 1 < first + 64; ++v) cnf.add_clause({v, v + 1});
+  std::atomic<bool> cancel{true};
+  SolverOptions options;
+  options.cancel = &cancel;
+  Solver s(options);
+  EXPECT_EQ(s.solve(cnf), SatResult::kUnknown);
+  EXPECT_EQ(s.stats().decisions, 0);
+  EXPECT_EQ(s.stats().conflicts, 0);
+  cancel.store(false);
+  EXPECT_EQ(Solver(options).solve(cnf), SatResult::kSat);
 }
 
 TEST(Solver, ImplicationChainPropagates) {

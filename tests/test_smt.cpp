@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <functional>
 
@@ -272,6 +273,22 @@ TEST(QnnEncoder, ReportsCnfSize) {
   EXPECT_GT(v.cnf_variables, 10);
   EXPECT_GT(v.cnf_clauses, 10u);
   EXPECT_EQ(v.sat, SatResult::kUnsat);  // bound far above anything reachable
+}
+
+TEST(QnnEncoder, CancelledBeforeStartBuildsNoCnf) {
+  // A racing peer that decided before the SAT engine started: the build
+  // polls the flag before the first neuron, so no clause is ever made.
+  const nn::QuantizedNetwork q = small_qnet(5, 4);
+  verify::Box box(2, verify::Interval{-1.0, 1.0});
+  std::atomic<bool> cancel{true};
+  QnnVerifierOptions options;
+  options.solver.cancel = &cancel;
+  const QnnVerdict v = prove_quantized_output_bound(q, box, 0, 1000.0, options);
+  EXPECT_EQ(v.sat, SatResult::kUnknown);
+  EXPECT_EQ(v.cnf_variables, 0);
+  EXPECT_EQ(v.cnf_clauses, 0u);
+  EXPECT_FALSE(v.counterexample.has_value());
+  EXPECT_EQ(v.solver_stats.decisions, 0);
 }
 
 TEST(QnnEncoder, RejectsBadOutputIndex) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "verify/interval.hpp"
 #include "verify/milp_encoder.hpp"
+#include "verify/symbolic.hpp"
 #include "verify/verifier.hpp"
 
 namespace safenn::verify {
@@ -493,6 +495,29 @@ TEST_P(LpTighteningProperty, SoundAndNoLooserThanIntervals) {
         EXPECT_LE(trace.pre_activations[li][r],
                   lp_bounds[li].pre[r].hi + 1e-6);
       }
+    }
+  }
+}
+
+TEST_P(LpTighteningProperty, CancelledBeforeStartReturnsSymbolicSeed) {
+  // A portfolio peer decided before the MILP engine's encoder ran: no LP
+  // is solved and every bound is exactly the (sound) symbolic seed.
+  Rng rng(GetParam() + 500);
+  Network net = Network::make_mlp({3, 7, 6, 2}, Activation::kRelu,
+                                  Activation::kIdentity, rng);
+  InputRegion region;
+  region.box = Box(3, Interval{-1.2, 1.2});
+  const auto seed = symbolic_bounds(net, region.box);
+  std::atomic<bool> cancel{true};
+  const auto bounds = lp_tightened_bounds(net, region, nullptr, &cancel);
+  ASSERT_EQ(bounds.size(), seed.size());
+  for (std::size_t li = 0; li < seed.size(); ++li) {
+    ASSERT_EQ(bounds[li].pre.size(), seed[li].pre.size());
+    for (std::size_t r = 0; r < seed[li].pre.size(); ++r) {
+      EXPECT_EQ(bounds[li].pre[r].lo, seed[li].pre[r].lo);
+      EXPECT_EQ(bounds[li].pre[r].hi, seed[li].pre[r].hi);
+      EXPECT_EQ(bounds[li].post[r].lo, seed[li].post[r].lo);
+      EXPECT_EQ(bounds[li].post[r].hi, seed[li].post[r].hi);
     }
   }
 }
