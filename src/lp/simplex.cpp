@@ -50,6 +50,11 @@ constexpr double kInfeasibleTol = 1e-6;
 /// distrusted and the problem is solved cold.
 constexpr double kResolveResidualTol = 1e-6;
 
+/// Largest amount, relative to max(1, |objective|), by which a
+/// re-solve's objective may fall short of the Lagrangian bound
+/// recomputed from the problem before the answer is distrusted.
+constexpr double kResolveBoundTol = 1e-9;
+
 /// Snaps nonbasic starting value: finite lower bound preferred, then
 /// finite upper, else 0 (free variable).
 double initial_value(double lo, double hi) {
@@ -270,12 +275,14 @@ enum class DualResult { kPrimalFeasible, kInfeasible, kTrouble };
 /// Bounded dual simplex: from a dual-feasible basis (reduced costs `d`
 /// sign-consistent with where each nonbasic sits), pivots primal-
 /// infeasible basics out at the bound they violate until every basic is
-/// within its bounds. Keeps `d` updated. kTrouble means "stop and solve
+/// within its bounds. Keeps `d` updated. kInfeasible leaves the row that
+/// cannot be repaired in `*blocked_row`. kTrouble means "stop and solve
 /// cold": the pivot cap was reached, or a row could not be repaired but
 /// its shortfall is too small (or its blocked entries too tiny) to
 /// conclude infeasibility.
 DualResult run_dual(Tableau& t, std::vector<double>& d,
-                    const SimplexOptions& opt, long& iters, long cap) {
+                    const SimplexOptions& opt, long& iters, long cap,
+                    int* blocked_row) {
   const int enter_limit = t.n + t.m;  // artificials never re-enter
   struct Candidate {
     double ratio;  // dual step at which d_col reaches zero
@@ -357,8 +364,9 @@ DualResult run_dual(Tableau& t, std::vector<double>& d,
     if (q < 0) {
       // Even with every candidate on the bound that pushes x_b hardest
       // toward its own, the row stays short: the bounds are infeasible.
-      return shortfall > tiny_reach + kInfeasibleTol ? DualResult::kInfeasible
-                                                     : DualResult::kTrouble;
+      if (shortfall <= tiny_reach + kInfeasibleTol) return DualResult::kTrouble;
+      *blocked_row = r;
+      return DualResult::kInfeasible;
     }
     for (std::size_t k = 0; k < flips; ++k) {
       const int j = candidates[k].col;
@@ -471,14 +479,17 @@ bool refactor(const Tableau& c, const Problem& problem,
   return true;
 }
 
-enum class WarmResult { kOptimal, kInfeasible, kUnbounded, kTrouble };
+enum class WarmResult { kOptimal, kInfeasible, kTrouble };
 
 /// The warm path of resolve(): loads `problem`'s objective and bounds
 /// into an optimal tableau of the same rows and re-optimizes it — dual
 /// simplex while bounds are violated, then primal Phase 2 — within `cap`
-/// iterations in all.
+/// iterations in all. kInfeasible leaves the dual simplex's blocked row in
+/// `*blocked_row`; an unbounded Phase 2 (impossible from a bounded
+/// parent unless the tableau has drifted) counts as trouble.
 WarmResult reoptimize(Tableau& t, const Problem& problem,
-                      const SimplexOptions& opt, long& iters, long cap) {
+                      const SimplexOptions& opt, long& iters, long cap,
+                      int* blocked_row) {
   // Nonbasic columns move onto their new bounds; basic ones may now
   // violate theirs.
   const double obj_sign = problem.maximize() ? -1.0 : 1.0;
@@ -524,7 +535,7 @@ WarmResult reoptimize(Tableau& t, const Problem& problem,
       moved = true;
     }
     if (moved) refresh_basic_values(t);
-    switch (run_dual(t, d, opt, iters, cap)) {
+    switch (run_dual(t, d, opt, iters, cap, blocked_row)) {
       case DualResult::kPrimalFeasible: break;
       case DualResult::kInfeasible: return WarmResult::kInfeasible;
       case DualResult::kTrouble: return WarmResult::kTrouble;
@@ -535,11 +546,121 @@ WarmResult reoptimize(Tableau& t, const Problem& problem,
   // for an objective change, a clean-up pass after the dual simplex.
   switch (run_phase(t, opt, iters, cap, /*allow_artificial=*/false)) {
     case PhaseResult::kOptimal: break;
-    case PhaseResult::kUnbounded: return WarmResult::kUnbounded;
+    case PhaseResult::kUnbounded:
     case PhaseResult::kIterationLimit: return WarmResult::kTrouble;
   }
   refresh_basic_values(t);
   return WarmResult::kOptimal;
+}
+
+// A warm tableau is pivoted on from its parent's, generation after
+// generation, and never refactored, so B^{-1}A may drift from the
+// problem's rows. Neither warm verdict is taken from the tableau alone:
+// each is rechecked against the problem's own rows, bounds and objective
+// with multipliers read off the tableau. Any multipliers give a valid
+// check, so drift can only make it fail (and the re-solve fall back to
+// the cold solve), never pass a wrong answer. The slack columns of the
+// tableau hold B^{-1} (the slacks are the identity part of [A I]).
+
+/// The sign a multiplier y_i needs for y_i times row i's slack to be
+/// bounded below over the slack's range (see set_slack_bounds); 0 when
+/// either sign will do.
+int slack_multiplier_sign(Relation relation) {
+  switch (relation) {
+    case Relation::kLe: return +1;  // slack in [0, inf)
+    case Relation::kGe: return -1;  // slack in (-inf, 0]
+    case Relation::kEq: return 0;   // slack fixed at 0
+  }
+  return 0;
+}
+
+/// True when row `r` of the tableau proves the problem infeasible. With
+/// y = +-(row r of B^{-1}), each slack multiplier clipped to its allowed
+/// sign, the combination y^T A x + y^T s = y^T b of the problem's rows
+/// must have its smallest left-hand side over the bounds exceed y^T b by
+/// more than kInfeasibleTol (a Farkas certificate, recomputed from the
+/// problem, not from the tableau's own entries).
+bool certifies_infeasible(const Tableau& t, int r, const Problem& problem) {
+  const int n = t.n;
+  const int m = t.m;
+  std::vector<double> alpha(static_cast<std::size_t>(n));
+  for (const double sign : {1.0, -1.0}) {
+    double rhs = 0.0;
+    std::fill(alpha.begin(), alpha.end(), 0.0);
+    for (int i = 0; i < m; ++i) {
+      const Constraint& row = problem.constraint(i);
+      double yi = sign * t.at(r, n + i);
+      const int allowed = slack_multiplier_sign(row.relation);
+      if (allowed != 0 && yi * allowed < 0.0) yi = 0.0;
+      if (yi == 0.0) continue;
+      rhs += yi * row.rhs;
+      for (const auto& [var, coef] : row.terms) {
+        alpha[static_cast<std::size_t>(var)] += yi * coef;
+      }
+    }
+    double lhs_min = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const double a = alpha[static_cast<std::size_t>(j)];
+      if (a == 0.0) continue;
+      const Variable& v = problem.variable(j);
+      lhs_min += a * (a > 0.0 ? v.lower : v.upper);
+    }
+    // An infinite bound on the side a term needs makes lhs_min -inf (or
+    // NaN): no certificate in this direction.
+    if (lhs_min - rhs > kInfeasibleTol) return true;
+  }
+  return false;
+}
+
+/// A lower bound on the problem's optimum in minimization form, from the
+/// multipliers pi = c_B^T B^{-1} of an optimal tableau with each slack's
+/// multiplier clipped to its allowed sign: by weak duality, for every
+/// such pi,
+///   min c^T x >= pi^T b + sum_j min over [l_j, u_j] of (c_j - pi^T A_j) x_j.
+/// A column unbounded on the side its recomputed reduced cost favours
+/// counts at its value in `x` when that reduced cost is within the
+/// optimality tolerance (roundoff on a free basic column), and otherwise
+/// makes the bound -inf.
+double lagrangian_bound(const Tableau& t, const Problem& problem,
+                        const std::vector<double>& x,
+                        const SimplexOptions& opt) {
+  const int n = t.n;
+  const int m = t.m;
+  std::vector<double> pi(static_cast<std::size_t>(m), 0.0);
+  for (int r = 0; r < m; ++r) {
+    const double cb = t.cost[static_cast<std::size_t>(t.basis[r])];
+    if (cb == 0.0) continue;
+    for (int i = 0; i < m; ++i) pi[static_cast<std::size_t>(i)] += cb * t.at(r, n + i);
+  }
+  const double obj_sign = problem.maximize() ? -1.0 : 1.0;
+  std::vector<double> d(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) d[static_cast<std::size_t>(j)] = obj_sign * problem.variable(j).objective;
+  double bound = 0.0;
+  for (int i = 0; i < m; ++i) {
+    const Constraint& row = problem.constraint(i);
+    double p = pi[static_cast<std::size_t>(i)];
+    // The slack's reduced cost is -p; at its finite bound it needs
+    // -p >= 0 for a <= row and -p <= 0 for a >= row.
+    const int allowed = -slack_multiplier_sign(row.relation);
+    if (allowed != 0 && p * allowed < 0.0) p = 0.0;
+    if (p == 0.0) continue;
+    bound += p * row.rhs;
+    for (const auto& [var, coef] : row.terms) d[static_cast<std::size_t>(var)] -= p * coef;
+  }
+  for (int j = 0; j < n; ++j) {
+    const double dj = d[static_cast<std::size_t>(j)];
+    if (dj == 0.0) continue;
+    const Variable& v = problem.variable(j);
+    const double at = dj > 0.0 ? v.lower : v.upper;
+    if (std::isfinite(at)) {
+      bound += dj * at;
+    } else if (std::abs(dj) <= opt.optimality_tol) {
+      bound += dj * x[static_cast<std::size_t>(j)];
+    } else {
+      return -kInf;
+    }
+  }
+  return bound;
 }
 
 }  // namespace
@@ -557,6 +678,8 @@ std::size_t SimplexState::bytes() const {
                                              t.cost.capacity() + t.val.capacity()) +
          sizeof(int) * t.basis.capacity() + t.in_basis.capacity();
 }
+
+bool SimplexState::is_compact() const { return tableau_ && tableau_->compact; }
 
 SimplexState SimplexState::compact() const {
   SimplexState out;
@@ -736,31 +859,36 @@ Solution SimplexSolver::resolve(const Problem& problem, const SimplexState& from
   }
   // `final_state` may alias `from`: `src` is dead from here on.
   if (final_state) final_state->tableau_.reset();
-  Solution sol;
-  sol.warm = true;
-  switch (ready ? reoptimize(t, problem, options_, iters, cap)
+  int blocked_row = -1;
+  switch (ready ? reoptimize(t, problem, options_, iters, cap, &blocked_row)
                 : WarmResult::kTrouble) {
-    case WarmResult::kOptimal:
-      sol = optimal_solution(t, problem);
-      sol.warm = true;
+    case WarmResult::kOptimal: {
+      Solution sol = optimal_solution(t, problem);
       if (problem.max_violation(sol.values) > kResolveResidualTol) break;
+      // Optimal only if no multipliers prove a better objective possible.
+      const double obj_sign = problem.maximize() ? -1.0 : 1.0;
+      const double gap = obj_sign * sol.objective -
+                         lagrangian_bound(t, problem, sol.values, options_);
+      if (!(gap <= kResolveBoundTol * std::max(1.0, std::abs(sol.objective)))) break;
+      sol.warm = true;
       sol.iterations = iters;
       if (final_state) final_state->tableau_ = std::make_unique<Tableau>(std::move(t));
       return sol;
-    case WarmResult::kInfeasible:
+    }
+    case WarmResult::kInfeasible: {
+      if (!certifies_infeasible(t, blocked_row, problem)) break;
+      Solution sol;
       sol.status = SolveStatus::kInfeasible;
+      sol.warm = true;
       sol.iterations = iters;
       return sol;
-    case WarmResult::kUnbounded:
-      sol.status = SolveStatus::kUnbounded;
-      sol.iterations = iters;
-      return sol;
+    }
     case WarmResult::kTrouble:
       break;
   }
 
   // Fallback: the cold two-phase solve, charged with the warm attempt.
-  sol = solve(problem, final_state);
+  Solution sol = solve(problem, final_state);
   sol.iterations += iters;
   return sol;
 }

@@ -12,7 +12,11 @@
 // every child node (only bounds change) and bound tightening does from
 // one LP of a layer to the next (only the objective changes). Changed
 // bounds are repaired by a bounded dual simplex, a changed objective by
-// primal Phase 2; both keep the earlier basis.
+// primal Phase 2; both keep the earlier basis. A warm answer is checked
+// against the problem's own rows before it is returned (a Farkas
+// certificate for infeasible, a Lagrangian bound for optimal), so drift
+// in a tableau pivoted on over many re-solves leads to a cold solve, not
+// to a wrong answer.
 #pragma once
 
 #include <cstddef>
@@ -65,6 +69,8 @@ class SimplexState {
   SimplexState& operator=(SimplexState&&) noexcept;
 
   bool empty() const { return tableau_ == nullptr; }
+  /// True for a state made by compact().
+  bool is_compact() const;
   /// Heap bytes held: about 8 * rows * (columns + rows) for a full state,
   /// about 8 * (columns + 2 * rows) for a compact one.
   std::size_t bytes() const;
@@ -96,9 +102,13 @@ class SimplexSolver {
   /// may differ. Falls back to solve() when the warm path runs into
   /// trouble: more pivots than a cold solve should need (4 * (rows +
   /// columns), or max_iterations if smaller), a start that is neither
-  /// primal nor dual feasible, a compact basis that does not refactor, or
-  /// an answer whose row residual fails the check. Solution::warm tells
-  /// which path answered. `final_state` may alias `from`.
+  /// primal nor dual feasible, a compact basis that does not refactor, an
+  /// unbounded Phase 2, or an answer that fails its check against the
+  /// problem: an optimum whose row residual exceeds 1e-6, or whose
+  /// objective the Lagrangian bound of its multipliers beats by more than
+  /// 1e-9 relative; an infeasibility that the Farkas combination of the
+  /// blocked row does not prove. Solution::warm tells which path
+  /// answered. `final_state` may alias `from`.
   Solution resolve(const Problem& problem, const SimplexState& from,
                    SimplexState* final_state = nullptr) const;
 

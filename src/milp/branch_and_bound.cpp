@@ -14,18 +14,9 @@
 namespace safenn::milp {
 namespace {
 
-/// Bytes of parent LP state that open nodes may hold at once. A node's
-/// optimal tableau is shared by its two children, which re-solve from it
-/// with the dual simplex. Best-first search on a hard query keeps
-/// thousands of nodes open, so full tableaus may fill only three quarters
-/// of the budget; past that, children share the compact state (basis and
-/// nonbasic values, a few KB), whose re-solve first refactors the basis.
-/// Only when even that does not fit do they solve cold.
-constexpr std::size_t kWarmStateBytes = std::size_t{64} << 20;
-constexpr std::size_t kFullStateBytes = kWarmStateBytes / 4 * 3;
-
-/// One node's optimal LP state, shared by its two children. It counts
-/// itself against the solve's warm-state budget while alive.
+/// One node's optimal LP state (full tableau or compact basis), shared
+/// by its two children, which re-solve from it with the dual simplex. It
+/// counts itself against the solve's warm-state budget while alive.
 class SharedState {
  public:
   SharedState(lp::SimplexState s, std::size_t& held)
@@ -223,6 +214,7 @@ MilpResult BranchAndBound::solve(const Model& model) const {
     const lp::Solution relax =
         node.warm ? lp_solver.resolve(node_problem, node.warm->state, &state)
                   : lp_solver.solve(node_problem, &state);
+    if (relax.warm && node.warm->state.is_compact()) ++result.compact_solves;
     node.warm.reset();  // the sibling may still hold it; this node is done
     result.lp_iterations += relax.iterations;
     ++(relax.warm ? result.warm_solves : result.cold_solves);
@@ -313,10 +305,12 @@ MilpResult BranchAndBound::solve(const Model& model) const {
             "variable (tolerance mismatch)");
 
     const double v = relax.values[static_cast<std::size_t>(branch_var)];
-    if (warm_bytes + state.bytes() > kFullStateBytes) state = state.compact();
-    if (warm_bytes + state.bytes() <= kWarmStateBytes) {
+    if (warm_bytes + state.bytes() > kFullTableauBytes) state = state.compact();
+    if (warm_bytes + state.bytes() <= kWarmStateBudgetBytes) {
       node.warm = std::make_shared<const SharedState>(std::move(state),
                                                       warm_bytes);
+      result.warm_state_peak_bytes =
+          std::max(result.warm_state_peak_bytes, warm_bytes);
     }
     Node down = node;
     down.upper_overrides.emplace_back(branch_var, std::floor(v));

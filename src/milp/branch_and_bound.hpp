@@ -7,13 +7,15 @@
 //
 // Every child node re-solves its LP from its parent's optimal tableau
 // (lp::SimplexSolver::resolve: one bound changed, so a few dual simplex
-// pivots), and the heuristic from its node's tableau. Past a fixed memory
-// budget for the tableaus open nodes hold, children get the parent's
-// compact state (its basis) instead. Only the root, and re-solves that
-// fall back, solve cold.
+// pivots), and the heuristic from its node's tableau. The warm state open
+// nodes hold is capped: once their tableaus fill kFullTableauBytes, a
+// node passes on only its compact basis, which the child refactors; once
+// everything fills kWarmStateBudgetBytes, its children solve cold.
+// Otherwise only the root, and re-solves that fall back, solve cold.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -21,6 +23,17 @@
 #include "milp/model.hpp"
 
 namespace safenn::milp {
+
+/// Bytes of parent LP state (SimplexState::bytes) that a solve's open
+/// nodes may hold at once, and the part of it full tableaus may fill.
+/// Fixed, not options. Best-first search on the Table II networks' full
+/// region keeps about 3,000 nodes open after 2.5 s, at 50-350 KB per
+/// tableau and a few KB per compact basis. Measured there over 10 s
+/// (I4x8, I4x10): a tableau share of 32, 48 or 56 MiB explores the same
+/// number of nodes within noise; 64 MiB, which leaves no room for
+/// compact bases, explores 5-6x fewer.
+inline constexpr std::size_t kWarmStateBudgetBytes = std::size_t{64} << 20;
+inline constexpr std::size_t kFullTableauBytes = std::size_t{48} << 20;
 
 enum class MilpStatus {
   kOptimal,            // incumbent proven optimal within gap_tol
@@ -40,10 +53,14 @@ struct MilpResult {
   long lp_iterations = 0;
   /// Node LPs re-solved from the parent's optimal state (dual simplex).
   long warm_solves = 0;
-  /// Node LPs solved from scratch: the root and re-solves that fell back
-  /// (plus children of a search so large that even compact parent states
-  /// overflow the warm-state budget).
+  /// Of warm_solves, those from a compact basis (past kFullTableauBytes).
+  long compact_solves = 0;
+  /// Node LPs solved from scratch: the root, re-solves that fell back,
+  /// and children of nodes branched while the warm-state budget was full.
   long cold_solves = 0;
+  /// Most bytes of warm state open nodes held at once (at most
+  /// kWarmStateBudgetBytes).
+  std::size_t warm_state_peak_bytes = 0;
   double seconds = 0.0;
   /// True when the solve stopped because BnbOptions::cancel was set (the
   /// status is then one of the time-limit statuses). objective and

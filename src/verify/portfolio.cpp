@@ -472,7 +472,9 @@ PortfolioResult PortfolioVerifier::prove(const nn::Network& net,
                " binaries=" + std::to_string(enc.num_binaries) +
                " lp_iters=" + std::to_string(r.lp_iterations) +
                " warm=" + std::to_string(r.warm_solves) +
-               " cold=" + std::to_string(r.cold_solves);
+               " compact=" + std::to_string(r.compact_solves) +
+               " cold=" + std::to_string(r.cold_solves) +
+               " warm_peak_kib=" + std::to_string(r.warm_state_peak_bytes >> 10);
     o.seconds = engine_clock.seconds();
     shared.publish_bound(o.engine, o.upper_bound);
     if (o.decided) shared.decide(priority(o.engine), /*cancel_all=*/!det);

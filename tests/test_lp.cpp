@@ -344,6 +344,8 @@ TEST_P(RandomFeasibleLp, ResolveFromCompactStateMatchesColdSolve) {
   const SimplexState compact = full.compact();
   ASSERT_FALSE(compact.empty());
   EXPECT_LT(compact.bytes(), full.bytes());
+  EXPECT_TRUE(compact.is_compact());
+  EXPECT_FALSE(full.is_compact());
 
   const Solution same = SimplexSolver().resolve(parent, compact);
   expect_same_answer(same, root, "unchanged, seed " + std::to_string(GetParam()));
@@ -367,6 +369,93 @@ TEST_P(RandomFeasibleLp, ResolveFromCompactStateMatchesColdSolve) {
                                        " column " + std::to_string(j));
     // The re-solve hands back a full state again.
     EXPECT_EQ(next.empty(), warm.status != SolveStatus::kOptimal);
+  }
+}
+
+TEST_P(RandomFeasibleLp, ResolveFromStateOfOtherRowsMatchesColdSolve) {
+  // A warm tableau is pivoted on across many re-solves and never
+  // refactored, so it may drift from the problem's rows. A state taken
+  // from the same problem with every row coefficient perturbed by a few
+  // percent stands in for a tableau that has drifted that far: the warm
+  // path pivots on wrong entries, and each answer it reaches (optimal or
+  // infeasible) must be caught by its check against the problem's own
+  // rows and fall back, so that the re-solve still answers exactly what a
+  // cold solve answers.
+  std::vector<double> witness;
+  const Problem problem = random_feasible_lp(GetParam(), &witness);
+  Problem drifted;
+  drifted.set_maximize(problem.maximize());
+  for (int j = 0; j < problem.num_variables(); ++j) {
+    const Variable& var = problem.variable(j);
+    drifted.add_variable(var.lower, var.upper, var.objective);
+  }
+  Rng rng(GetParam() + 8000);
+  for (int i = 0; i < problem.num_constraints(); ++i) {
+    const Constraint& row = problem.constraint(i);
+    LinearTerms terms;
+    for (const auto& [j, coef] : row.terms) {
+      terms.emplace_back(j, coef * (1.0 + 0.05 * rng.normal()));
+    }
+    drifted.add_constraint(std::move(terms), row.relation, row.rhs);
+  }
+  SimplexState state;
+  ASSERT_EQ(SimplexSolver().solve(drifted, &state).status, SolveStatus::kOptimal);
+
+  const Solution same = SimplexSolver().resolve(problem, state);
+  expect_same_answer(same, SimplexSolver().solve(problem),
+                     "unchanged bounds, seed " + std::to_string(GetParam()));
+  for (int j = 0; j < problem.num_variables(); ++j) {
+    Problem child = problem;
+    const Variable& var = problem.variable(j);
+    const double v = witness[static_cast<std::size_t>(j)];
+    if (rng.uniform() < 0.5) {
+      child.variable(j).upper = var.lower + rng.uniform(0.0, 1.0) * (v - var.lower);
+    } else {
+      child.variable(j).lower = v + rng.uniform(0.0, 1.0) * (var.upper - v);
+    }
+    if (j % 3 == 1) {
+      // Pinned just inside the feasible set, on the segment from the
+      // witness toward row 0's worst corner: feasible, with every row
+      // slack small, so rows whose drifted copies are violated there lead
+      // the dual simplex to claim infeasibility.
+      child = problem;
+      std::vector<double> dir(witness.size());
+      for (const auto& [k, coef] : problem.constraint(0).terms) {
+        const Variable& vk = problem.variable(k);
+        dir[static_cast<std::size_t>(k)] =
+            (coef > 0.0 ? vk.upper : vk.lower) - witness[static_cast<std::size_t>(k)];
+      }
+      double t = 1.0;
+      for (int i = 0; i < problem.num_constraints(); ++i) {
+        double at = 0.0, rate = 0.0;
+        for (const auto& [k, coef] : problem.constraint(i).terms) {
+          at += coef * witness[static_cast<std::size_t>(k)];
+          rate += coef * dir[static_cast<std::size_t>(k)];
+        }
+        if (rate > 0.0) t = std::min(t, (problem.constraint(i).rhs - at) / rate);
+      }
+      for (int k = 0; k < child.num_variables(); ++k) {
+        const double x = witness[static_cast<std::size_t>(k)] +
+                         0.999 * t * dir[static_cast<std::size_t>(k)];
+        child.variable(k).lower = x;
+        child.variable(k).upper = x;
+      }
+    } else if (j % 3 == 2) {
+      // Pinned at row 0's worst corner: infeasible for most seeds.
+      for (const auto& [k, coef] : problem.constraint(0).terms) {
+        const double x = coef > 0.0 ? child.variable(k).upper : child.variable(k).lower;
+        child.variable(k).lower = x;
+        child.variable(k).upper = x;
+      }
+    }
+    if (j % 2 == 1) child.set_maximize(false);
+    const Solution warm = SimplexSolver().resolve(child, state);
+    const Solution cold = SimplexSolver().solve(child);
+    expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()) +
+                                       " column " + std::to_string(j));
+    if (warm.status == SolveStatus::kOptimal) {
+      EXPECT_LE(child.max_violation(warm.values), 1e-6);
+    }
   }
 }
 
@@ -412,6 +501,46 @@ TEST_P(RandomFeasibleLp, ResolveAfterObjectiveChangeMatchesColdSolve) {
     expect_same_answer(warm, cold, "seed " + std::to_string(GetParam()));
     EXPECT_TRUE(warm.warm) << "an objective change never needs the fallback";
   }
+}
+
+TEST(ResolveChain, LongObjectiveChainMatchesColdSolves) {
+  // LP bound tightening re-solves every LP of a layer from the one before
+  // it, min and max of each neuron in turn, so one tableau serves a long
+  // chain of objective changes. Run 60 generations on a 30-column,
+  // 24-row LP, each re-solving from the last one's state, and compare
+  // every answer with a cold solve.
+  Rng rng(4242);
+  Problem p;
+  std::vector<double> witness;
+  for (int j = 0; j < 30; ++j) {
+    p.add_variable(-3.0, 3.0);
+    witness.push_back(rng.uniform(-2.0, 2.0));
+  }
+  for (int i = 0; i < 24; ++i) {
+    LinearTerms terms;
+    double lhs = 0.0;
+    for (int j = 0; j < 30; ++j) {
+      if (rng.uniform() < 0.5) continue;
+      const double coef = rng.normal();
+      terms.emplace_back(j, coef);
+      lhs += coef * witness[static_cast<std::size_t>(j)];
+    }
+    p.add_constraint(std::move(terms), Relation::kLe, lhs + rng.uniform(0.1, 1.0));
+  }
+  SimplexState state;
+  ASSERT_EQ(SimplexSolver().solve(p, &state).status, SolveStatus::kOptimal);
+  int warm = 0;
+  for (int gen = 0; gen < 60; ++gen) {
+    for (int j = 0; j < 30; ++j) p.set_objective(j, 0.0);
+    for (int k = 0; k < 4; ++k) {
+      p.set_objective(static_cast<int>(rng.uniform_index(30)), rng.normal());
+    }
+    p.set_maximize(gen % 2 == 1);
+    const Solution w = SimplexSolver().resolve(p, state, &state);
+    expect_same_answer(w, solve(p), "generation " + std::to_string(gen));
+    warm += w.warm ? 1 : 0;
+  }
+  EXPECT_GE(warm, 55) << "an objective change needs no fallback";
 }
 
 TEST(ResolveFallback, LostDualFeasibilityMatchesColdSolve) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -256,6 +257,56 @@ TEST_P(KnapsackExhaustive, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackExhaustive,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+TEST(BranchAndBound, FullTableauBudgetOverflowStaysExact) {
+  // Open nodes hold their parents' full tableaus up to kFullTableauBytes;
+  // nodes branched past it hand their children a compact basis, which
+  // each child refactors. A strongly correlated knapsack (value = weight
+  // + 10) keeps a wide best-first frontier, about 5,500 nodes in all;
+  // padding rows z_p <= x_k (z_p in [0, 1], no objective) leave its
+  // optimum alone but make every tableau about 0.5 MB, so the frontier
+  // overflows the tableau budget. The answer must still be the exact
+  // optimum.
+  Rng rng(2024);
+  const int items = 40;
+  const int padding = 170;
+  std::vector<int> weight(items);
+  int capacity = 0;
+  for (int i = 0; i < items; ++i) {
+    weight[static_cast<std::size_t>(i)] = 10 + static_cast<int>(rng.uniform_index(91));
+    capacity += weight[static_cast<std::size_t>(i)];
+  }
+  capacity /= 2;
+  Model m;
+  m.set_maximize(true);
+  lp::LinearTerms knapsack;
+  for (int i = 0; i < items; ++i) {
+    const double w = weight[static_cast<std::size_t>(i)];
+    knapsack.emplace_back(m.add_variable(0, 1, VarType::kBinary, w + 10.0), w);
+  }
+  m.add_constraint(std::move(knapsack), lp::Relation::kLe, capacity);
+  for (int p = 0; p < padding; ++p) {
+    const int z = m.add_variable(0, 1, VarType::kContinuous);
+    m.add_constraint({{z, 1.0}, {p % items, -1.0}}, lp::Relation::kLe, 0.0);
+  }
+  const MilpResult r = solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+
+  // Exact optimum by dynamic programming over the integer capacity.
+  std::vector<int> best(static_cast<std::size_t>(capacity) + 1, 0);
+  for (int w : weight) {
+    for (int c = capacity; c >= w; --c) {
+      best[static_cast<std::size_t>(c)] = std::max(
+          best[static_cast<std::size_t>(c)], best[static_cast<std::size_t>(c - w)] + w + 10);
+    }
+  }
+  EXPECT_NEAR(r.objective, best.back(), 1e-6);
+  EXPECT_GT(r.warm_state_peak_bytes, kFullTableauBytes * 9 / 10);
+  EXPECT_LE(r.warm_state_peak_bytes, kWarmStateBudgetBytes);
+  EXPECT_GT(r.compact_solves, 0) << "children past the tableau budget";
+  EXPECT_LT(r.compact_solves, r.warm_solves);
+  EXPECT_EQ(r.cold_solves, 1) << "only the root: compact bases fit";
+}
 
 }  // namespace
 }  // namespace safenn::milp

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "lp/simplex.hpp"
 #include "verify/interval.hpp"
 #include "verify/milp_encoder.hpp"
 #include "verify/symbolic.hpp"
@@ -564,6 +565,75 @@ TEST(LpTightening, FewerOrEqualBinariesThanInterval) {
   const EncodedNetwork e_int = encode_network(net, region, interval_opts);
   const EncodedNetwork e_lp = encode_network(net, region, lp_opts);
   EXPECT_LE(e_lp.num_binaries, e_int.num_binaries);
+}
+
+TEST(WarmResolve, DeepBranchingChainsMatchColdSolves) {
+  // Branch-and-bound re-solves every child from its parent's tableau,
+  // itself the result of a re-solve: a tableau is pivoted on generation
+  // after generation and never refactored. Walk 40-generation chains
+  // through the encoding of a {3, 10, 10, 1} network. Each generation
+  // shrinks one input's box around a random input x; the last ones also
+  // fix one phase binary each to x's phase, after probing the node with
+  // it fixed against that phase (infeasible once the box is small enough
+  // to make the neuron stable). Every re-solve must answer what a cold
+  // solve of the same node answers.
+  Rng rng(505);
+  Network net = Network::make_mlp({3, 10, 10, 1}, Activation::kRelu,
+                                  Activation::kIdentity, rng);
+  InputRegion region;
+  region.box = Box(3, Interval{-0.8, 0.8});
+  EncodedNetwork enc = encode_network(net, region);
+  enc.model.set_objective(enc.output_vars[0], 1.0);
+  enc.model.set_maximize(true);
+  const std::vector<int>& binaries = enc.model.integral_variables();
+  ASSERT_GE(binaries.size(), 8u);
+  ASSERT_LE(binaries.size(), 40u);
+  const lp::SimplexSolver solver;
+  auto expect_same = [](const lp::Solution& warm, const lp::Solution& cold,
+                        const std::string& where) {
+    ASSERT_EQ(warm.status, cold.status) << where;
+    if (cold.status != lp::SolveStatus::kOptimal) return;
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-9 * std::max(1.0, std::abs(cold.objective)))
+        << where;
+  };
+  long resolves = 0, warm = 0, infeasible = 0;
+  for (int chain = 0; chain < 6; ++chain) {
+    Vector x(3);
+    for (auto& v : x) v = rng.uniform(-0.8, 0.8);
+    const std::vector<double> at_x = enc.assignment_from_input(net, x);
+    lp::Problem node = enc.model.problem();
+    lp::SimplexState state;
+    ASSERT_EQ(solver.solve(node, &state).status, lp::SolveStatus::kOptimal);
+    for (std::size_t gen = 0; gen < 40; ++gen) {
+      const std::string where = "chain " + std::to_string(chain) +
+                                " generation " + std::to_string(gen);
+      const std::size_t d = gen % 3;
+      const int v = enc.input_vars[d];
+      const double xd = x[d];
+      node.variable(v).lower = xd - 0.8 * (xd - node.variable(v).lower);
+      node.variable(v).upper = xd + 0.8 * (node.variable(v).upper - xd);
+      if (gen + binaries.size() >= 40) {
+        const int b = binaries[gen + binaries.size() - 40];
+        const double phase = at_x[static_cast<std::size_t>(b)];
+        lp::Problem probe = node;
+        probe.variable(b).lower = probe.variable(b).upper = 1.0 - phase;
+        const lp::Solution p = solver.resolve(probe, state);
+        expect_same(p, solver.solve(probe), where + " (probe)");
+        ++resolves;
+        warm += p.warm ? 1 : 0;
+        infeasible += p.status == lp::SolveStatus::kInfeasible ? 1 : 0;
+        node.variable(b).lower = node.variable(b).upper = phase;
+      }
+      const lp::Solution s = solver.resolve(node, state, &state);
+      expect_same(s, solver.solve(node), where);
+      ASSERT_EQ(s.status, lp::SolveStatus::kOptimal) << where << ": x is feasible";
+      ++resolves;
+      warm += s.warm ? 1 : 0;
+    }
+  }
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GE(warm, resolves * 3 / 4) << "the warm path must answer most re-solves";
 }
 
 TEST(WarmStart, AssignmentFromInputIsFeasible) {
